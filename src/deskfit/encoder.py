@@ -7,6 +7,11 @@ embedding is the mean of its token rows. Fine-tuning minimises the squared
 error between the cosine similarity of two sentence embeddings and the
 pair's target, with analytic gradients and Adam updates.
 
+Adam runs only on the table rows that some pair in the pair set touches.
+This is dense Adam, not the lazy kind that skips rows absent from the
+current batch: a row that never receives a gradient keeps zero moments, so
+dense Adam would add exactly -0.0 to it, which leaves every float unchanged.
+
 Parameters rest in float32 (matching the on-disk model format bit for bit);
 all arithmetic runs in float64 with a fixed evaluation order, so every
 operation here is bitwise deterministic in its inputs.
@@ -211,6 +216,13 @@ def finetune(
     batches of config.batch_size (the last batch may be short); each batch
     applies one Adam step on the batch-mean gradient. The input parameters
     are never mutated.
+
+    The Adam steps run on a float64 copy of the rows touched by any pair in
+    the whole pair set, not by the current batch, so a row keeps decaying
+    its moments in batches that miss it. The result is bit-identical to
+    dense Adam over the full table: an untouched row has zero moments and
+    gradient, its dense increment is -0.0, and x + -0.0 == x for every
+    float32 x widened to float64.
     """
     pair_list = list(pairs.pairs if isinstance(pairs, PairSet) else pairs)
     if not pair_list or config.epochs == 0:
@@ -223,24 +235,29 @@ def finetune(
         except EmptyInput as exc:
             raise EmptyInput(f"pair {idx}: {exc}") from None
 
-    table = params.table.astype(np.float64)
-    adam = AdamState(table.shape)
+    # ids become positions in the sub-table of touched rows
+    rows = np.unique(np.concatenate([ids for pair in tokenized for ids in pair]))
+    local = [(np.searchsorted(rows, a), np.searchsorted(rows, b)) for a, b in tokenized]
+    sub = params.table[rows].astype(np.float64)
+    adam = AdamState(sub.shape)
     rng = rng_from_seed(config.seed)
     for _ in range(config.epochs):
         order = rng.permutation(len(pair_list))
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad = np.zeros_like(table)
+            grad = np.zeros_like(sub)
             for k in batch:
-                ids_a, ids_b = tokenized[k]
+                ids_a, ids_b = local[k]
                 try:
                     _, grad_u, grad_v = _pair_terms(
-                        table, ids_a, ids_b, pair_list[k].target
+                        sub, ids_a, ids_b, pair_list[k].target
                     )
                 except ZeroNorm as exc:
                     raise ZeroNorm(f"pair {k}: {exc}") from None
                 np.add.at(grad, ids_a, grad_u / len(ids_a))
                 np.add.at(grad, ids_b, grad_v / len(ids_b))
             grad /= len(batch)
-            table += adam.update(grad, config.learning_rate)
-    return replace(params, table=table.astype(np.float32))
+            sub += adam.update(grad, config.learning_rate)
+    table = params.table.copy()
+    table[rows] = sub.astype(np.float32)
+    return replace(params, table=table)

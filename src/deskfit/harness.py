@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .distill import DistillConfig, distill
 from .cost import CostSpec, inference_flops, speedup, training_flops
-from .errors import InvalidSpec, NonBinary
+from .errors import InvalidSpec, LabelOutOfRange, NonBinary
 from .pipeline import FitConfig, Model, fit, predict, predict_proba
 
 TOOL_VERSION = "0.1.0"
@@ -41,12 +41,24 @@ METRIC_NAMES = ("accuracy", "mcc", "mae_x100", "average_precision")
 def evaluate_model(model: Model, test: Dataset, metric: str) -> float:
     """Score a model on a test set with one of the named metrics.
 
+    Gold labels are matched to the model's classes by name, since a test
+    file's label indices follow first appearance in that file. A test label
+    the model does not know raises LabelOutOfRange.
+
     average_precision uses the probability of class 1 as the ranking score
     and therefore, like mcc, requires a binary label set.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
-    gold = test.labels()
+    model_index = {name: k for k, name in enumerate(model.label_names)}
+    gold = []
+    for ex in test.examples:
+        name = test.label_names[ex.label]
+        if name not in model_index:
+            raise LabelOutOfRange(
+                f"test label {name!r} is not among the model's labels {model.label_names}"
+            )
+        gold.append(model_index[name])
     if metric == "average_precision":
         if model.head.n_classes != 2:
             raise NonBinary("average_precision needs a binary task")

@@ -25,6 +25,7 @@ Model file format "SETFIT-DESK/1" (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, replace
@@ -233,17 +234,55 @@ def save_model(model: Model, path: str | Path) -> None:
     out += model.format_version.encode("ascii") + b"\n"
     out += struct.pack("<I", len(blob))
     out += blob
-    out += model.encoder.table.astype("<f4").tobytes(order="C")
-    out += model.head.weights.astype("<f4").tobytes(order="C")
-    out += model.head.bias.astype("<f4").tobytes(order="C")
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(out))
+    for array in (model.encoder.table, model.head.weights, model.head.bias):
+        out += array.astype("<f4", copy=False).tobytes(order="C")
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
+    Path(path).write_bytes(out)
 
 
-def _take(buf: bytes, offset: int, size: int, what: str) -> tuple[bytes, int]:
-    if offset + size > len(buf):
+#: manifest key -> JSON type; integers lie in [1, 2**64) except hash_seed, which may be 0
+_MANIFEST_KEYS = {
+    "vocab_buckets": int,
+    "dim": int,
+    "max_len": int,
+    "hash_seed": int,
+    "n_classes": int,
+    "label_names": list,
+    "train_config": dict,
+}
+
+
+def _check_manifest(manifest: Any, path: str | Path) -> None:
+    if not isinstance(manifest, dict):
+        raise BadFormat(f"{path}: manifest is not a JSON object")
+    for key, kind in _MANIFEST_KEYS.items():
+        if key not in manifest:
+            raise BadFormat(f"{path}: manifest lacks {key!r}")
+        value = manifest[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise BadFormat(
+                f"{path}: manifest {key!r} must be a JSON {kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        low = 0 if key == "hash_seed" else 1
+        if kind is int and not low <= value <= MASK64:
+            raise BadFormat(f"{path}: manifest {key!r} out of range: {value}")
+    if not all(isinstance(name, str) for name in manifest["label_names"]):
+        raise BadFormat(f"{path}: manifest 'label_names' must all be strings")
+
+
+def _advance(offset: int, size: int, end: int, what: str) -> int:
+    if offset + size > end:
         raise BadFormat(f"truncated file: {what} needs {size} bytes")
-    return buf[offset : offset + size], offset + size
+    return offset + size
+
+
+def _floats(
+    buf: bytes, offset: int, end: int, shape: tuple[int, ...], what: str
+) -> tuple[np.ndarray, int]:
+    count = math.prod(shape)
+    stop = _advance(offset, 4 * count, end, what)
+    return np.frombuffer(buf, "<f4", count, offset).reshape(shape).copy(), stop
 
 
 def load_model(path: str | Path) -> Model:
@@ -256,38 +295,44 @@ def load_model(path: str | Path) -> Model:
     if version != "1":
         raise UnsupportedVersion(f"{path}: format SETFIT-DESK/{version}, expected /1")
 
-    stored_crc = struct.unpack("<I", buf[-4:])[0] if len(buf) >= 4 else None
-    if stored_crc is None or zlib.crc32(buf[:-4]) & 0xFFFFFFFF != stored_crc:
+    end = len(buf) - 4  # the body ends where the stored CRC-32 starts
+    stored_crc = struct.unpack_from("<I", buf, end)[0] if end >= 0 else None
+    if stored_crc != zlib.crc32(memoryview(buf)[:end]) & 0xFFFFFFFF:
         raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
-    body = buf[:-4]
 
-    offset = newline + 1
-    raw_len, offset = _take(body, offset, 4, "manifest length")
-    (manifest_len,) = struct.unpack("<I", raw_len)
-    raw_manifest, offset = _take(body, offset, manifest_len, "manifest")
+    offset = _advance(newline + 1, 4, end, "manifest length")
+    (manifest_len,) = struct.unpack_from("<I", buf, newline + 1)
+    start, offset = offset, _advance(offset, manifest_len, end, "manifest")
     try:
-        manifest = json.loads(raw_manifest.decode("utf-8"))
+        manifest = json.loads(buf[start:offset].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadFormat(f"{path}: bad manifest ({exc})") from None
+    _check_manifest(manifest, path)
 
     buckets, dim = manifest["vocab_buckets"], manifest["dim"]
     n_classes = manifest["n_classes"]
-    raw, offset = _take(body, offset, 4 * buckets * dim, "embedding table")
-    table = np.frombuffer(raw, dtype="<f4").reshape(buckets, dim).copy()
-    raw, offset = _take(body, offset, 4 * n_classes * dim, "head weights")
-    weights = np.frombuffer(raw, dtype="<f4").reshape(n_classes, dim).copy()
-    raw, offset = _take(body, offset, 4 * n_classes, "head bias")
-    bias = np.frombuffer(raw, dtype="<f4").copy()
-    if offset != len(body):
-        raise BadFormat(f"{path}: {len(body) - offset} unexpected trailing bytes")
+    table, offset = _floats(buf, offset, end, (buckets, dim), "embedding table")
+    weights, offset = _floats(buf, offset, end, (n_classes, dim), "head weights")
+    bias, offset = _floats(buf, offset, end, (n_classes,), "head bias")
+    if offset != end:
+        raise BadFormat(f"{path}: {end - offset} unexpected trailing bytes")
 
+    try:
+        train_config = _config_from_dict(manifest["train_config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadFormat(
+            f"{path}: bad manifest 'train_config' ({type(exc).__name__}: {exc})"
+        ) from None
     names = tuple(manifest["label_names"])
-    return Model(
-        encoder=EncoderParams(
-            table=table, hash_seed=manifest["hash_seed"], max_len=manifest["max_len"]
-        ),
-        head=HeadParams(weights, bias, names),
-        label_names=names,
-        train_config=_config_from_dict(manifest["train_config"]),
-        distill_info=manifest.get("distill"),
-    )
+    try:
+        return Model(
+            encoder=EncoderParams(
+                table=table, hash_seed=manifest["hash_seed"], max_len=manifest["max_len"]
+            ),
+            head=HeadParams(weights, bias, names),
+            label_names=names,
+            train_config=train_config,
+            distill_info=manifest.get("distill"),
+        )
+    except ValueError as exc:
+        raise BadFormat(f"{path}: {exc}") from None

@@ -1,10 +1,18 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here is deliberately plain Python (no numpy code paths shared
-with the implementation under test).
+with the implementation under test), except dense_finetune, which must
+match encoder.finetune bit for bit and so shares its tokenizer and
+per-pair gradient terms.
 """
 
 import math
+
+import numpy as np
+
+from deskfit.corpus import rng_from_seed
+from deskfit.encoder import _pair_terms, tokenize
+from deskfit.optim import BETA1, BETA2, EPS
 
 
 def oracle_accuracy(pred, gold):
@@ -42,3 +50,35 @@ def oracle_average_precision(scores, gold):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def dense_finetune(params, pairs, config):
+    """Fine-tuning with Adam over every row of the table, as float64 arrays.
+
+    Same shuffle stream, batch order and accumulation order as
+    encoder.finetune; every row gets an Adam step, touched or not.
+    """
+    tokenized = [(tokenize(params, p.first), tokenize(params, p.second)) for p in pairs]
+    table = params.table.astype(np.float64)
+    m = np.zeros_like(table)
+    v = np.zeros_like(table)
+    t = 0
+    rng = rng_from_seed(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(pairs))
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad = np.zeros_like(table)
+            for k in batch:
+                ids_a, ids_b = tokenized[k]
+                _, grad_u, grad_v = _pair_terms(table, ids_a, ids_b, pairs[k].target)
+                np.add.at(grad, ids_a, grad_u / len(ids_a))
+                np.add.at(grad, ids_b, grad_v / len(ids_b))
+            grad /= len(batch)
+            t += 1
+            m = BETA1 * m + (1.0 - BETA1) * grad
+            v = BETA2 * v + (1.0 - BETA2) * (grad * grad)
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            table += -config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    return table.astype(np.float32)

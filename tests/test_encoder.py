@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import dense_finetune
 
 from deskfit.corpus import rng_from_seed
 from deskfit.encoder import (
@@ -272,3 +275,45 @@ class TestFinetune:
         pairs = [TrainPair("fine here", "also fine", 1.0), TrainPair("ok", "!!!", 0.0)]
         with pytest.raises(EmptyInput, match="pair 1"):
             finetune(params, pairs, self.cfg())
+
+
+_WORDS = st.sampled_from(["ant", "bee", "cow", "dog", "eel", "fox", "gnu"])
+_SENTENCES = st.lists(_WORDS, min_size=1, max_size=6).map(" ".join)
+_PAIRS = st.lists(
+    st.builds(TrainPair, _SENTENCES, _SENTENCES, st.sampled_from([-0.5, 0.0, 0.3, 1.0])),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def _finetune_cases(draw):
+    pairs = draw(_PAIRS)
+    config = FinetuneConfig(
+        learning_rate=draw(st.sampled_from([0.0, 1e-3, 0.05])),
+        batch_size=draw(st.integers(1, len(pairs) + 2)),
+        epochs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    params = init_params(
+        draw(st.sampled_from([4, 16, 256])),
+        draw(st.integers(2, 5)),
+        hash_seed=draw(st.integers(0, 2**16)),
+        init_seed=draw(st.integers(0, 2**16)),
+    )
+    return params, pairs, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finetune_cases())
+@example(  # a token repeated within a sentence and shared with its partner
+    (
+        init_params(256, 3, hash_seed=1, init_seed=2),
+        [TrainPair("ant ant bee", "bee cow", 0.0), TrainPair("dog", "dog eel dog", 1.0)],
+        FinetuneConfig(learning_rate=0.05, batch_size=1, epochs=3, seed=5),
+    )
+)
+def test_finetune_matches_dense_adam_bit_for_bit(case):
+    params, pairs, config = case
+    out = finetune(params, pairs, config)
+    assert out.table.tobytes() == dense_finetune(params, pairs, config).tobytes()

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from deskfit.corpus import load_dataset, save_dataset_jsonl
-from deskfit.errors import InvalidSpec
+from deskfit.corpus import Dataset, LabeledExample, load_dataset, save_dataset_jsonl
+from deskfit.errors import InvalidSpec, LabelOutOfRange
 from deskfit.harness import (
+    METRIC_NAMES,
     DistillCurveConfig,
     ExperimentConfig,
     evaluate_model,
@@ -137,6 +139,45 @@ class TestEvaluateModel:
         mae = evaluate_model(model, test, "mae_x100")
         assert 0.0 <= acc <= 1.0 and -1.0 <= m <= 1.0 and 0.0 <= ap <= 1.0
         assert mae >= 0.0
+
+    def test_test_labels_matched_by_name(self, corpus_paths, tmp_path):
+        # labels first appear in reverse order, so the file's indices are permuted
+        train_path, test_path = corpus_paths
+        test = load_dataset(test_path)
+        flipped = Dataset(
+            tuple(
+                LabeledExample(ex.text, 1 - ex.label)
+                for ex in sorted(test.examples, key=lambda ex: -ex.label)
+            ),
+            test.label_names[::-1],
+        )
+        flipped_path = tmp_path / "flipped.jsonl"
+        save_dataset_jsonl(flipped, flipped_path)
+        reloaded = load_dataset(flipped_path)
+        assert reloaded.label_names == ("class1", "class0")
+        model = fit(load_dataset(train_path), small_fit(seed=2))
+        for metric in METRIC_NAMES:
+            assert evaluate_model(model, reloaded, metric) == evaluate_model(
+                model, test, metric
+            )
+        config = ExperimentConfig(
+            train_path, test_path, n_splits=1, fit=small_fit(), base_seed=4
+        )
+        assert (
+            run_experiment(replace(config, test_path=str(flipped_path))).scores
+            == run_experiment(config).scores
+        )
+
+    def test_test_label_unknown_to_model(self, corpus_paths):
+        train_path, test_path = corpus_paths
+        model = fit(load_dataset(train_path), small_fit(seed=2))
+        test = load_dataset(test_path)
+        extra = Dataset(
+            test.examples + (LabeledExample("noise1 noise2", 2),),
+            test.label_names + ("class9",),
+        )
+        with pytest.raises(LabelOutOfRange, match="class9"):
+            evaluate_model(model, extra, "accuracy")
 
     def test_unknown_metric(self, corpus_paths):
         train_path, test_path = corpus_paths

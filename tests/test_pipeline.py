@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -245,3 +249,101 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(BadFormat):
             load_model(path)
+
+
+def rewrite_manifest(path, edit):
+    """Apply edit() to the manifest dict, then fix the manifest length and CRC-32."""
+    blob = path.read_bytes()
+    start = blob.index(b"\n") + 1
+    (length,) = struct.unpack_from("<I", blob, start)
+    manifest = json.loads(blob[start + 4 : start + 4 + length])
+    manifest = edit(manifest)
+    raw = json.dumps(manifest).encode("utf-8")
+    body = blob[:start] + struct.pack("<I", len(raw)) + raw + blob[start + 4 + length : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _without(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
+def _with(key, value):
+    return lambda m: {**m, key: value}
+
+
+class TestManifestSchema:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("schema") / "m.bin"
+        save_model(fit(vocab_dataset(), small_config(seed=17)), path)
+        return path.read_bytes()
+
+    def load_edited(self, saved, tmp_path, edit):
+        path = tmp_path / "m.bin"
+        path.write_bytes(saved)
+        rewrite_manifest(path, edit)
+        return load_model(path)
+
+    def test_unchanged_manifest_still_loads(self, saved, tmp_path):
+        model = self.load_edited(saved, tmp_path, lambda m: m)
+        assert model.encoder.dim == 16
+
+    @pytest.mark.parametrize(
+        "key",
+        ["vocab_buckets", "dim", "max_len", "hash_seed", "n_classes", "label_names",
+         "train_config"],
+    )
+    def test_missing_key(self, saved, tmp_path, key):
+        with pytest.raises(BadFormat, match=f"lacks '{key}'"):
+            self.load_edited(saved, tmp_path, _without(key))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dim", "16"),
+            ("dim", 16.0),
+            ("n_classes", True),
+            ("vocab_buckets", None),
+            ("label_names", "class0"),
+            ("train_config", []),
+        ],
+    )
+    def test_wrong_type(self, saved, tmp_path, key, value):
+        with pytest.raises(BadFormat, match=f"'{key}' must be a JSON"):
+            self.load_edited(saved, tmp_path, _with(key, value))
+
+    @pytest.mark.parametrize(
+        "key, value", [("dim", 0), ("max_len", -1), ("hash_seed", -1), ("hash_seed", 2**64)]
+    )
+    def test_out_of_range(self, saved, tmp_path, key, value):
+        with pytest.raises(BadFormat, match=f"'{key}' out of range"):
+            self.load_edited(saved, tmp_path, _with(key, value))
+
+    def test_not_an_object(self, saved, tmp_path):
+        with pytest.raises(BadFormat, match="not a JSON object"):
+            self.load_edited(saved, tmp_path, lambda m: [m])
+
+    def test_label_names_not_strings(self, saved, tmp_path):
+        with pytest.raises(BadFormat, match="label_names"):
+            self.load_edited(saved, tmp_path, _with("label_names", [0, 1]))
+
+    def test_train_config_missing_field(self, saved, tmp_path):
+        def edit(m):
+            del m["train_config"]["r_pairs"]
+            return m
+
+        with pytest.raises(BadFormat, match="r_pairs"):
+            self.load_edited(saved, tmp_path, edit)
+
+    def test_non_finite_table(self, saved, tmp_path):
+        path = tmp_path / "m.bin"
+        body = bytearray(saved[:-4])
+        last_table_float = len(body) - 4 * (2 * 16 + 2) - 4  # before weights and bias
+        body[last_table_float : last_table_float + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(BadFormat, match="finite"):
+            load_model(path)
+
+    def test_dims_disagree_with_payload(self, saved, tmp_path):
+        with pytest.raises(BadFormat, match="truncated file: embedding table"):
+            self.load_edited(saved, tmp_path, _with("vocab_buckets", 4096))
