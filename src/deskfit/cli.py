@@ -13,7 +13,7 @@ from . import harness, synthetic
 from .corpus import load_dataset, sample_few_shot, save_dataset_jsonl
 from .distill import DistillConfig, distill
 from .encoder import FinetuneConfig
-from .errors import DeskfitError
+from .errors import DeskfitError, EmptyInput
 from .head import HeadTrainConfig
 from .pairs import generate_pairs, pairs_to_jsonl
 from .pipeline import (
@@ -54,7 +54,12 @@ def _fit_config(args: argparse.Namespace, seed: int) -> FitConfig:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -96,10 +101,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model_in)
-    texts = args.text if args.text else [line.rstrip("\n") for line in sys.stdin]
+    if args.text:
+        texts = [(f"text {i}", text) for i, text in enumerate(args.text, 1)]
+    else:
+        texts = [
+            (f"stdin line {i}", line.rstrip("\n"))
+            for i, line in enumerate(sys.stdin, 1)
+            if line.strip()
+        ]
     rows = []
-    for text in texts:
-        probs = predict_proba(model, text)
+    for where, text in texts:
+        try:
+            probs = predict_proba(model, text)
+        except EmptyInput as exc:
+            raise EmptyInput(f"{where}: {exc}") from None
         label = int(probs.argmax())
         rows.append(
             {
@@ -142,7 +157,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         fit=_fit_config(args, args.seed),
     )
-    reports = harness.run_sweep(config, _int_list(args.n_per_class))
+    reports = harness.run_sweep(config, args.n_per_class)
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in reports], sort_keys=True), args.out)
     elif args.format == "csv":
@@ -190,7 +205,7 @@ def _cmd_distill_curve(args: argparse.Namespace) -> int:
         test_path=args.test,
         metric=args.metric,
         teacher_n_per_class=args.n_per_class,
-        pair_counts=tuple(_int_list(args.pairs)),
+        pair_counts=tuple(args.pairs),
         n_splits=args.splits,
         base_seed=args.seed,
         teacher_fit=teacher_fit,
@@ -279,9 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, fmt=False)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="classify texts with a saved model")
+    p = sub.add_parser(
+        "predict",
+        help="classify texts with a saved model",
+        description="Classify each TEXT, or each line of stdin when no TEXT is "
+        "given. Blank stdin lines are skipped; a text or line with no tokens "
+        "(e.g. '!!!') is an error that names its position, and nothing is printed.",
+    )
     p.add_argument("--model-in", required=True)
-    p.add_argument("text", nargs="*", help="texts (stdin lines when omitted)")
+    p.add_argument("text", nargs="*",
+                   help="texts (non-blank stdin lines when omitted)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.set_defaults(func=_cmd_predict)
@@ -298,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--metric", choices=list(harness.METRIC_NAMES), default="accuracy")
-    p.add_argument("--n-per-class", default="8,64", help="comma-separated sizes")
+    p.add_argument("--n-per-class", type=_int_list, default="8,64",
+                   help="comma-separated sizes")
     p.add_argument("--splits", type=int, default=10)
     _add_fit_flags(p)
     common(p)
@@ -322,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=list(harness.METRIC_NAMES), default="accuracy")
     p.add_argument("--n-per-class", type=int, default=16, help="teacher labels per class")
     p.add_argument("--splits", type=int, default=5)
-    p.add_argument("--pairs", default="0,8,64,400", help="comma-separated pair budgets")
+    p.add_argument("--pairs", type=_int_list, default="0,8,64,400",
+                   help="comma-separated pair budgets")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--unlabeled", default=None, help="pool file (default: unsampled train texts)")
     p.add_argument("--teacher-dim", type=int, default=64)

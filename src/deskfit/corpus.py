@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     InsufficientClassSize,
+    InvalidConfig,
     LabelOutOfRange,
     MalformedRecord,
 )
@@ -225,7 +226,7 @@ def few_shot_indices(source: Dataset, n_per_class: int, seed: int) -> list[int]:
     label order and positions listed in draw order.
     """
     if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
+        raise InvalidConfig("n_per_class must be >= 1")
     rng = rng_from_seed(seed)
     chosen: list[int] = []
     for label, positions in enumerate(source.class_indices()):

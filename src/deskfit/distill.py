@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .corpus import MASK64, Dataset, rng_from_seed
 from .encoder import cosine, encode
-from .errors import EmptyInput, TooFewTexts, ZeroNorm
+from .errors import EmptyInput, InvalidConfig, TooFewTexts, ZeroNorm
 from .pairs import TrainPair
 from .pipeline import FitConfig, Model, _train_model, predict_proba
 
@@ -55,9 +55,9 @@ class DistillConfig:
 
     def __post_init__(self) -> None:
         if self.pair_count < 0:
-            raise ValueError("pair_count must be >= 0")
+            raise InvalidConfig("pair_count must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise InvalidConfig("alpha must lie in [0, 1]")
 
 
 def generate_unlabeled_pairs(

@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import MASK64, rng_from_seed
-from .errors import EmptyInput, ZeroNorm
+from .errors import EmptyInput, InvalidConfig, ZeroNorm
 from .optim import AdamState
 from .pairs import PairSet, TrainPair
 
@@ -39,6 +40,10 @@ _FNV_PRIME = 0x100000001B3
 
 #: norms below this have no usable cosine direction
 NORM_FLOOR = 1e-12
+
+#: a model's token->bucket memo is emptied when it reaches this many entries,
+#: so a long-lived model fed ever new tokens holds a bounded memo
+MEMO_CAP = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +58,13 @@ class EncoderParams:
     max_len: int = 256
 
     def __post_init__(self) -> None:
-        if self.table.ndim != 2 or self.table.dtype != np.float32:
-            raise ValueError("table must be a 2-D float32 array")
+        if self.table.ndim != 2 or self.table.dtype != np.float32 or not self.table.size:
+            raise ValueError("table must be a non-empty 2-D float32 array")
         if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        if not np.all(np.isfinite(self.table)):
+            raise InvalidConfig("max_len must be >= 1")
+        # min and max are NaN if any entry is and infinite if one is; unlike
+        # np.isfinite they need no table-sized temporary
+        if not (math.isfinite(self.table.min()) and math.isfinite(self.table.max())):
             raise ValueError("table entries must be finite")
 
     @property
@@ -67,6 +74,12 @@ class EncoderParams:
     @property
     def dim(self) -> int:
         return self.table.shape[1]
+
+    @cached_property
+    def _buckets(self) -> dict[str, int]:
+        """Token -> bucket id memo of tokenize; exact, since the bucket is a
+        pure function of (hash_seed, vocab_buckets, token)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -78,11 +91,11 @@ class FinetuneConfig:
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+            raise InvalidConfig("learning_rate must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidConfig("batch_size must be >= 1")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise InvalidConfig("epochs must be >= 0")
 
 
 def init_params(
@@ -94,7 +107,7 @@ def init_params(
 ) -> EncoderParams:
     """Fresh table with entries i.i.d. uniform in [-0.05, 0.05]."""
     if vocab_buckets < 1 or dim < 1:
-        raise ValueError("vocab_buckets and dim must be >= 1")
+        raise InvalidConfig("vocab_buckets and dim must be >= 1")
     rng = rng_from_seed(init_seed)
     table = rng.uniform(-0.05, 0.05, size=(vocab_buckets, dim)).astype(np.float32)
     return EncoderParams(table=table, hash_seed=hash_seed & MASK64, max_len=max_len)
@@ -109,13 +122,24 @@ def _fnv1a64(data: bytes) -> int:
 
 
 def tokenize(params: EncoderParams, text: str) -> list[int]:
-    """Bucket ids for a text: lowercase, split, hash, truncate to max_len."""
+    """Bucket ids for a text: lowercase, split, hash, truncate to max_len.
+
+    Each distinct token is hashed once per params object and remembered in
+    its memo, which is emptied whenever it reaches MEMO_CAP entries.
+    """
     tokens = _TOKEN_RE.findall(text.lower())[: params.max_len]
+    memo = params._buckets
     prefix = params.hash_seed.to_bytes(8, "little")
-    return [
-        _fnv1a64(prefix + token.encode("utf-8")) % params.vocab_buckets
-        for token in tokens
-    ]
+    ids = []
+    for token in tokens:
+        bucket = memo.get(token)
+        if bucket is None:
+            if len(memo) >= MEMO_CAP:
+                memo.clear()
+            bucket = _fnv1a64(prefix + token.encode("utf-8")) % params.vocab_buckets
+            memo[token] = bucket
+        ids.append(bucket)
+    return ids
 
 
 def _pool(table: np.ndarray, ids: Sequence[int]) -> np.ndarray:

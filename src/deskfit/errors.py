@@ -5,6 +5,13 @@ class DeskfitError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidConfig(DeskfitError, ValueError):
+    """A configuration field or call argument lies outside its valid range.
+
+    Also a ValueError, the conventional type of a bad argument value.
+    """
+
+
 # -- dataset ingestion and sampling --------------------------------------
 
 class EmptyDataset(DeskfitError):

@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .distill import DistillConfig, distill
 from .cost import CostSpec, inference_flops, speedup, training_flops
-from .errors import InvalidSpec, LabelOutOfRange, NonBinary
+from .errors import InvalidConfig, InvalidSpec, LabelOutOfRange, NonBinary
 from .pipeline import FitConfig, Model, fit, predict, predict_proba
 
 TOOL_VERSION = "0.1.0"
@@ -49,7 +49,7 @@ def evaluate_model(model: Model, test: Dataset, metric: str) -> float:
     and therefore, like mcc, requires a binary label set.
     """
     if metric not in METRIC_NAMES:
-        raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
+        raise InvalidConfig(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
     model_index = {name: k for k, name in enumerate(model.label_names)}
     gold = []
     for ex in test.examples:
@@ -86,9 +86,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.metric not in METRIC_NAMES:
-            raise ValueError(f"metric must be one of {METRIC_NAMES}, got {self.metric!r}")
+            raise InvalidConfig(f"metric must be one of {METRIC_NAMES}, got {self.metric!r}")
         if self.n_splits < 1 or self.n_per_class < 1:
-            raise ValueError("n_splits and n_per_class must be >= 1")
+            raise InvalidConfig("n_splits and n_per_class must be >= 1")
 
 
 @dataclass(frozen=True)

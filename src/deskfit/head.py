@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDistribution, SingleClass
+from .errors import DimensionMismatch, InvalidConfig, InvalidDistribution, SingleClass
 from .optim import AdamState
 
 
@@ -58,11 +58,11 @@ class HeadTrainConfig:
 
     def __post_init__(self) -> None:
         if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+            raise InvalidConfig("l2_lambda must be >= 0")
         if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+            raise InvalidConfig("max_iters must be >= 0")
         if self.learning_rate <= 0 or self.tol <= 0:
-            raise ValueError("learning_rate and tol must be > 0")
+            raise InvalidConfig("learning_rate and tol must be > 0")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

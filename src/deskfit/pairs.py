@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Dataset, rng_from_seed
-from .errors import DegenerateClass, NeedTwoClasses
+from .errors import DegenerateClass, InvalidConfig, NeedTwoClasses
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ def generate_pairs(train: Dataset, r: int, seed: int, mode: str = "strict") -> P
     Deterministic in (train, r, seed, mode).
     """
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise InvalidConfig("r must be >= 0")
     if mode not in ("strict", "permissive"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidConfig(f"unknown mode {mode!r}")
     if r == 0:
         return PairSet((), 0, train.n_classes)
 

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -103,19 +105,13 @@ def _salted(seed: int, salt: int) -> int:
     return (seed ^ salt) & MASK64
 
 
+@contextmanager
 def _step(name: str):
     """Re-raise package errors annotated with the failing pipeline step."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, DeskfitError):
-                raise type(exc)(f"{name}: {exc}") from None
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except DeskfitError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def _train_model(
@@ -278,16 +274,27 @@ def _advance(offset: int, size: int, end: int, what: str) -> int:
 
 
 def _floats(
-    buf: bytes, offset: int, end: int, shape: tuple[int, ...], what: str
+    buf: bytearray, offset: int, end: int, shape: tuple[int, ...], what: str
 ) -> tuple[np.ndarray, int]:
+    """A writable float32 view of buf, which it keeps alive; nothing is copied."""
     count = math.prod(shape)
     stop = _advance(offset, 4 * count, end, what)
-    return np.frombuffer(buf, "<f4", count, offset).reshape(shape).copy(), stop
+    return np.frombuffer(buf, "<f4", count, offset).reshape(shape), stop
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a model written by save_model, verifying version and checksum."""
-    buf = Path(path).read_bytes()
+    """Read a model written by save_model, verifying version and checksum.
+
+    The table, weights and bias are views of the one buffer the file is read
+    into, so loading holds about one file size of memory.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(size)
+        got = fh.readinto(buf)
+        if got != size:
+            raise BadFormat(f"{path}: truncated file: read {got} of {size} bytes")
+        buf += fh.read()  # a pipe reports size 0
     newline = buf.find(b"\n")
     if newline < 0 or not buf.startswith(_MAGIC_PREFIX):
         raise BadFormat(f"{path}: not a SETFIT-DESK model file")

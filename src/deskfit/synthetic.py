@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import Dataset, LabeledExample, rng_from_seed
+from .errors import InvalidConfig
 
 
 def _draw_text(
@@ -44,9 +45,9 @@ def make_corpus(
 ) -> tuple[Dataset, Dataset]:
     """(train, test) datasets; test examples are spread evenly over classes."""
     if n_classes < 2:
-        raise ValueError("need >= 2 classes")
+        raise InvalidConfig("need >= 2 classes")
     if not 0.0 <= shared_fraction <= 1.0:
-        raise ValueError("shared_fraction must lie in [0, 1]")
+        raise InvalidConfig("shared_fraction must lie in [0, 1]")
     rng = rng_from_seed(seed)
     private = [
         [f"c{label}w{k}" for k in range(private_vocab)] for label in range(n_classes)

@@ -7,6 +7,7 @@ per-pair gradient terms.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -50,6 +51,22 @@ def oracle_average_precision(scores, gold):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def fresh_tokenize(params, text):
+    """Bucket ids of a text with every token hashed anew: no memo.
+
+    Lowercase, split into maximal runs of Unicode alphanumerics (underscore
+    excluded), keep the first max_len, then 64-bit FNV-1a over the 8
+    little-endian bytes of the hash seed and the token's UTF-8 bytes.
+    """
+    ids = []
+    for token in re.findall(r"[^\W_]+", text.lower())[: params.max_len]:
+        h = 0xCBF29CE484222325
+        for byte in params.hash_seed.to_bytes(8, "little") + token.encode("utf-8"):
+            h = ((h ^ byte) * 0x100000001B3) % 2**64
+        ids.append(h % params.vocab_buckets)
+    return ids
 
 
 def dense_finetune(params, pairs, config):

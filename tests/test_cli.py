@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -142,3 +143,49 @@ def test_errors_exit_code(tmp_path, capsys):
                "--test", str(tmp_path / "missing.jsonl")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lr", "-1"], "learning_rate must be >= 0"),
+        (["--batch", "0"], "batch_size must be >= 1"),
+        (["--dim", "0"], "vocab_buckets and dim must be >= 1"),
+        (["--max-len", "0"], "max_len must be >= 1"),
+    ],
+)
+def test_bad_training_flags_exit_2(corpus_dir, tmp_path, capsys, flags, message):
+    rc = main(["train", "--dataset", str(corpus_dir / "train.jsonl"),
+               "--n-per-class", "4", "--model-out", str(tmp_path / "m.bin"), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_non_integer_list_flag_is_a_usage_error(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dataset", str(corpus_dir / "train.jsonl"),
+              "--test", str(corpus_dir / "test.jsonl"), "--n-per-class", "8,x"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+
+
+def test_predict_stdin_skips_blank_lines_and_names_token_free_ones(
+    corpus_dir, tmp_path, capsys, monkeypatch
+):
+    model_path = tmp_path / "model.bin"
+    main(["train", "--dataset", str(corpus_dir / "train.jsonl"),
+          "--n-per-class", "8", "--model-out", str(model_path), *fit_flags()])
+    capsys.readouterr()
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("c0w1 c0w2\n\n   \nc1w1 c1w2\n"))
+    assert main(["predict", "--model-in", str(model_path), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["text"] for r in rows] == ["c0w1 c0w2", "c1w1 c1w2"]
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("c0w1\n\n!!!\nc1w1\n"))
+    assert main(["predict", "--model-in", str(model_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "stdin line 3" in err and "'!!!'" in err

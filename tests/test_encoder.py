@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import dense_finetune
+from oracles import dense_finetune, fresh_tokenize
 
+from deskfit import encoder
 from deskfit.corpus import rng_from_seed
 from deskfit.encoder import (
     EncoderParams,
@@ -87,6 +90,42 @@ class TestTokenize:
         params = small_params(vocab=8)
         ids = tokenize(params, "the quick brown fox jumps over the lazy dog")
         assert all(0 <= i < 8 for i in ids)
+
+    def test_each_distinct_token_hashed_once_per_params(self, monkeypatch):
+        hashed = []
+        fnv = encoder._fnv1a64
+        monkeypatch.setattr(encoder, "_fnv1a64", lambda data: hashed.append(data) or fnv(data))
+        params = small_params()
+        for _ in range(3):
+            tokenize(params, "the cat and THE dog")
+        assert len(hashed) == 4
+        tokenize(small_params(), "the")  # a new params object starts an empty memo
+        assert len(hashed) == 5
+
+
+_SHARED_WORDS = st.lists(st.sampled_from(["ant", "Bee", "cow", "dög", "eel_fox"]), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(st.text(max_size=30) | _SHARED_WORDS.map(" ".join), min_size=1, max_size=6),
+    hash_seed=st.integers(0, 2**64 - 2),
+    buckets=st.sampled_from([1, 7, 65536]),
+    max_len=st.integers(1, 8),
+    cap=st.sampled_from([1, 2, 5, encoder.MEMO_CAP]),
+)
+def test_tokenize_matches_unmemoised_oracle(texts, hash_seed, buckets, max_len, cap):
+    # three objects that share tokens but differ in hash seed or bucket count
+    params = [
+        EncoderParams(np.zeros((n, 1), np.float32), seed, max_len)
+        for n, seed in [(buckets, hash_seed), (buckets, hash_seed + 1), (buckets + 1, hash_seed)]
+    ]
+    with mock.patch.object(encoder, "MEMO_CAP", cap):
+        for _ in range(2):  # the second pass reads the memo
+            for text in texts:
+                for p in params:
+                    assert tokenize(p, text) == fresh_tokenize(p, text)
+                    assert len(p._buckets) <= cap
 
 
 class TestEncode:

@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import threading
+import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from deskfit.errors import (
     EmptyInput,
     UnsupportedVersion,
 )
-from deskfit.head import HeadTrainConfig
+from deskfit import pipeline
+from deskfit.head import HeadParams, HeadTrainConfig
 from deskfit.pairs import generate_pairs
 from deskfit.pipeline import (
     HASH_SEED_XOR,
@@ -23,6 +28,7 @@ from deskfit.pipeline import (
     SHUFFLE_SEED_XOR,
     EncoderConfig,
     FitConfig,
+    Model,
     fit,
     load_model,
     predict,
@@ -249,6 +255,49 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(BadFormat):
             load_model(path)
+
+    def test_file_shrinking_while_read(self, tmp_path, monkeypatch):
+        model = fit(vocab_dataset(), small_config(seed=17))
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        fstat = os.fstat
+        monkeypatch.setattr(
+            pipeline.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8)
+        )
+        with pytest.raises(BadFormat, match="truncated file: read"):
+            load_model(path)
+
+    def test_load_from_a_pipe(self, tmp_path):
+        model = fit(vocab_dataset(), small_config(seed=18))
+        path, fifo = tmp_path / "m.bin", tmp_path / "fifo"
+        save_model(model, path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+        writer.start()
+        loaded = load_model(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.encoder.table.tobytes() == model.encoder.table.tobytes()
+
+    def test_default_size_load_holds_one_file_of_memory(self, tmp_path):
+        encoder = init_params(init_seed=3)
+        names = ("a", "b")
+        weights = np.arange(2 * encoder.dim, dtype=np.float32).reshape(2, -1)
+        head = HeadParams(weights, np.ones(2, np.float32), names)
+        model = Model(encoder, head, names, FitConfig())
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + 2**20
+        for array in (loaded.encoder.table, loaded.head.weights, loaded.head.bias):
+            assert array.flags.writeable
+        assert loaded.encoder.table.tobytes() == encoder.table.tobytes()
+        assert loaded.head.weights.tobytes() == weights.tobytes()
 
 
 def rewrite_manifest(path, edit):
