@@ -7,6 +7,9 @@ distillation, a FLOPs cost model, the standard evaluation metrics, and a
 reproducible multi-split experiment harness with a CLI.
 """
 
+# set before the submodules load: harness reads it as its TOOL_VERSION
+__version__ = "0.1.0"
+
 from .corpus import (
     Dataset,
     LabeledExample,
@@ -67,5 +70,3 @@ from .pipeline import (
     save_model,
 )
 from .synthetic import make_corpus, make_unlabeled_pool
-
-__version__ = "0.1.0"

@@ -90,7 +90,7 @@ def _report_csv(reports: list[harness.ExperimentReport]) -> str:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    if args.n_per_class:
+    if args.n_per_class is not None:
         dataset = sample_few_shot(dataset, args.n_per_class, args.seed)
     model = fit(dataset, _fit_config(args, args.seed))
     save_model(model, args.model_out)
@@ -173,7 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_distill(args: argparse.Namespace) -> int:
     teacher = load_model(args.model_in)
     labeled = load_dataset(args.dataset)
-    if args.n_per_class:
+    if args.n_per_class is not None:
         labeled = sample_few_shot(labeled, args.n_per_class, args.seed)
     unlabeled = harness.load_unlabeled(args.unlabeled) if args.unlabeled else []
     config = DistillConfig(
@@ -238,7 +238,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_dump_pairs(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    if args.n_per_class:
+    if args.n_per_class is not None:
         dataset = sample_few_shot(dataset, args.n_per_class, args.seed)
     pairset = generate_pairs(dataset, args.r_pairs, args.seed, args.pair_mode)
     _emit(pairs_to_jsonl(pairset), args.out)

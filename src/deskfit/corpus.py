@@ -154,6 +154,18 @@ def _records_from_csv(path: Path) -> list[tuple[str, str | int]]:
     return records
 
 
+def not_utf8(path: Path) -> MalformedRecord:
+    """The error for a text file that does not decode, naming its first bad line."""
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return MalformedRecord(
+                f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start + 1})"
+            )
+    return MalformedRecord(f"{path}: not UTF-8 text")
+
+
 def load_dataset(
     path: str | Path,
     format: str = "auto",
@@ -170,14 +182,17 @@ def load_dataset(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
+    if path.is_dir():
+        raise MalformedRecord(f"{path}: is a directory, not a dataset file")
     if format == "auto":
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format == "jsonl":
-        records = _records_from_jsonl(path)
-    elif format == "csv":
-        records = _records_from_csv(path)
-    else:
-        raise ValueError(f"unknown dataset format {format!r}")
+    readers = {"jsonl": _records_from_jsonl, "csv": _records_from_csv}
+    if format not in readers:
+        raise InvalidConfig(f"unknown dataset format {format!r}")
+    try:
+        records = readers[format](path)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     if not records:
         raise EmptyDataset(f"{path}: no records")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .corpus import MASK64, Dataset, rng_from_seed
 from .encoder import cosine, encode
-from .errors import EmptyInput, InvalidConfig, TooFewTexts, ZeroNorm
+from .errors import EmptyInput, InvalidConfig, LabelOutOfRange, TooFewTexts, ZeroNorm
 from .pairs import TrainPair
 from .pipeline import FitConfig, Model, _train_model, predict_proba
 
@@ -107,7 +107,7 @@ def distill(
     """
     config = config or DistillConfig()
     if tuple(teacher.label_names) != tuple(labeled.label_names):
-        raise ValueError(
+        raise LabelOutOfRange(
             f"teacher labels {teacher.label_names} != dataset labels {labeled.label_names}"
         )
 

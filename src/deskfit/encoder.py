@@ -45,6 +45,10 @@ NORM_FLOOR = 1e-12
 #: so a long-lived model fed ever new tokens holds a bounded memo
 MEMO_CAP = 1 << 16
 
+#: float64 draws per init_params block: 64 KiB, under glibc's 128 KiB mmap
+#: threshold, so the one block is heap memory that is reused, not new pages
+INIT_BLOCK = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class EncoderParams:
@@ -62,6 +66,8 @@ class EncoderParams:
             raise ValueError("table must be a non-empty 2-D float32 array")
         if self.max_len < 1:
             raise InvalidConfig("max_len must be >= 1")
+        if not 0 <= self.hash_seed <= MASK64:
+            raise InvalidConfig("hash_seed must lie in [0, 2**64)")
         # min and max are NaN if any entry is and infinite if one is; unlike
         # np.isfinite they need no table-sized temporary
         if not (math.isfinite(self.table.min()) and math.isfinite(self.table.max())):
@@ -105,11 +111,25 @@ def init_params(
     hash_seed: int = 0,
     init_seed: int = 0,
 ) -> EncoderParams:
-    """Fresh table with entries i.i.d. uniform in [-0.05, 0.05]."""
+    """Fresh table with entries i.i.d. uniform in [-0.05, 0.05].
+
+    The float32 table is filled block by block from the same doubles, in the
+    same order and with the same arithmetic, as
+    rng.uniform(-0.05, 0.05, (vocab_buckets, dim)).astype(np.float32), so no
+    table-sized float64 temporary is made.
+    """
     if vocab_buckets < 1 or dim < 1:
         raise InvalidConfig("vocab_buckets and dim must be >= 1")
     rng = rng_from_seed(init_seed)
-    table = rng.uniform(-0.05, 0.05, size=(vocab_buckets, dim)).astype(np.float32)
+    table = np.empty((vocab_buckets, dim), np.float32)
+    flat = table.reshape(-1)
+    block = np.empty(min(INIT_BLOCK, flat.size))
+    for start in range(0, flat.size, block.size):
+        draws = block[: flat.size - start]
+        rng.random(out=draws)
+        draws *= 0.1  # uniform's low + (high - low) * u, where high - low == 0.1
+        draws += -0.05
+        flat[start : start + draws.size] = draws
     return EncoderParams(table=table, hash_seed=hash_seed & MASK64, max_len=max_len)
 
 

@@ -15,19 +15,26 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import __version__, metrics
 from .corpus import (
     Dataset,
     derive_seed,
     few_shot_indices,
     load_dataset,
+    not_utf8,
 )
 from .distill import DistillConfig, distill
 from .cost import CostSpec, inference_flops, speedup, training_flops
-from .errors import InvalidConfig, InvalidSpec, LabelOutOfRange, NonBinary
+from .errors import (
+    InvalidConfig,
+    InvalidSpec,
+    LabelOutOfRange,
+    MalformedRecord,
+    NonBinary,
+)
 from .pipeline import FitConfig, Model, fit, predict, predict_proba
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 #: the package-wide generator, recorded in every report
 PRNG_NAME = "numpy PCG64"
 REPORT_SCHEMA = "SETFIT-DESK-REPORT/1"
@@ -204,11 +211,14 @@ class DistillCurveReport:
 
 def load_unlabeled(path: str | Path) -> list[str]:
     """Unlabeled texts: one per line, blank lines skipped."""
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(line)
-    return out
+    path = Path(path)
+    if path.is_dir():
+        raise MalformedRecord(f"{path}: is a directory, not a text file")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    return [line for line in lines if line.strip()]
 
 
 def run_distill_curve(config: DistillCurveConfig) -> DistillCurveReport:

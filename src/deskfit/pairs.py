@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import Dataset, rng_from_seed
 from .errors import DegenerateClass, InvalidConfig, NeedTwoClasses
@@ -116,7 +115,3 @@ def pairs_to_jsonl(pairset: PairSet) -> str:
         for p in pairset.pairs
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def save_pairs_jsonl(pairset: PairSet, path: str | Path) -> None:
-    Path(path).write_text(pairs_to_jsonl(pairset), encoding="utf-8")

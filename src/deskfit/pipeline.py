@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import zlib
 from contextlib import contextmanager
@@ -56,6 +57,7 @@ from .pairs import PairSet, TrainPair, generate_pairs
 
 FORMAT_VERSION = "SETFIT-DESK/1"
 _MAGIC_PREFIX = b"SETFIT-DESK/"
+_NEWLINE = re.compile(b"\n")  # searches any bytes-like buffer, numpy arrays too
 
 # seed fan-out: "PAIR", "INIT", "SHUF", "HEAD", "HASH" tags over mixing constants
 PAIR_SEED_XOR = 0x50414952_9E3779B9
@@ -226,14 +228,17 @@ def save_model(model: Model, path: str | Path) -> None:
         manifest["distill"] = model.distill_info
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    out = bytearray()
-    out += model.format_version.encode("ascii") + b"\n"
-    out += struct.pack("<I", len(blob))
-    out += blob
-    for array in (model.encoder.table, model.head.weights, model.head.bias):
-        out += array.astype("<f4", copy=False).tobytes(order="C")
-    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
-    Path(path).write_bytes(out)
+    header = model.format_version.encode("ascii") + b"\n"
+    header += struct.pack("<I", len(blob)) + blob
+    with open(path, "wb") as fh:
+        fh.write(header)
+        crc = zlib.crc32(header)
+        # each array goes to the file straight from its own memory: no copy
+        for array in (model.encoder.table, model.head.weights, model.head.bias):
+            view = memoryview(np.ascontiguousarray(array, dtype="<f4")).cast("B")
+            fh.write(view)
+            crc = zlib.crc32(view, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 #: manifest key -> JSON type; integers lie in [1, 2**64) except hash_seed, which may be 0
@@ -274,7 +279,7 @@ def _advance(offset: int, size: int, end: int, what: str) -> int:
 
 
 def _floats(
-    buf: bytearray, offset: int, end: int, shape: tuple[int, ...], what: str
+    buf: np.ndarray, offset: int, end: int, shape: tuple[int, ...], what: str
 ) -> tuple[np.ndarray, int]:
     """A writable float32 view of buf, which it keeps alive; nothing is copied."""
     count = math.prod(shape)
@@ -286,19 +291,24 @@ def load_model(path: str | Path) -> Model:
     """Read a model written by save_model, verifying version and checksum.
 
     The table, weights and bias are views of the one buffer the file is read
-    into, so loading holds about one file size of memory.
+    into, so loading holds about one file size of memory. The buffer is a
+    numpy array rather than a bytearray because numpy asks the kernel for
+    huge pages on large blocks, which cuts the page faults of filling it.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        buf = bytearray(size)
+        buf = np.empty(size, np.uint8)
         got = fh.readinto(buf)
         if got != size:
             raise BadFormat(f"{path}: truncated file: read {got} of {size} bytes")
-        buf += fh.read()  # a pipe reports size 0
-    newline = buf.find(b"\n")
-    if newline < 0 or not buf.startswith(_MAGIC_PREFIX):
+        rest = fh.read()  # a pipe reports size 0
+    if rest:
+        buf = np.concatenate([buf, np.frombuffer(rest, np.uint8)])
+    found = _NEWLINE.search(buf)
+    if found is None or buf[: len(_MAGIC_PREFIX)].tobytes() != _MAGIC_PREFIX:
         raise BadFormat(f"{path}: not a SETFIT-DESK model file")
-    version = buf[len(_MAGIC_PREFIX) : newline].decode("ascii", errors="replace")
+    newline = found.start()
+    version = buf[len(_MAGIC_PREFIX) : newline].tobytes().decode("ascii", errors="replace")
     if version != "1":
         raise UnsupportedVersion(f"{path}: format SETFIT-DESK/{version}, expected /1")
 
@@ -311,7 +321,7 @@ def load_model(path: str | Path) -> Model:
     (manifest_len,) = struct.unpack_from("<I", buf, newline + 1)
     start, offset = offset, _advance(offset, manifest_len, end, "manifest")
     try:
-        manifest = json.loads(buf[start:offset].decode("utf-8"))
+        manifest = json.loads(buf[start:offset].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadFormat(f"{path}: bad manifest ({exc})") from None
     _check_manifest(manifest, path)

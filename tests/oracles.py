@@ -1,9 +1,9 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here is deliberately plain Python (no numpy code paths shared
-with the implementation under test), except dense_finetune, which must
-match encoder.finetune bit for bit and so shares its tokenizer and
-per-pair gradient terms.
+with the implementation under test), except naive_init and dense_finetune,
+which must match encoder.init_params and encoder.finetune bit for bit and so
+share their generator, tokenizer and per-pair gradient terms.
 """
 
 import math
@@ -67,6 +67,12 @@ def fresh_tokenize(params, text):
             h = ((h ^ byte) * 0x100000001B3) % 2**64
         ids.append(h % params.vocab_buckets)
     return ids
+
+
+def naive_init(vocab_buckets, dim, init_seed):
+    """The init table as one uniform draw over the whole shape, cast to float32."""
+    rng = rng_from_seed(init_seed)
+    return rng.uniform(-0.05, 0.05, size=(vocab_buckets, dim)).astype(np.float32)
 
 
 def dense_finetune(params, pairs, config):

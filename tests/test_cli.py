@@ -163,6 +163,33 @@ def test_bad_training_flags_exit_2(corpus_dir, tmp_path, capsys, flags, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "distill", "dump-pairs"])
+def test_n_per_class_zero_exits_2(corpus_dir, tmp_path, capsys, command):
+    args = [command, "--dataset", str(corpus_dir / "train.jsonl"), "--n-per-class", "0"]
+    if command != "dump-pairs":
+        args += ["--model-out", str(tmp_path / "out.bin")]
+    if command == "distill":
+        teacher = tmp_path / "teacher.bin"
+        main(["train", "--dataset", str(corpus_dir / "train.jsonl"),
+              "--n-per-class", "4", "--model-out", str(teacher), *fit_flags()])
+        capsys.readouterr()
+        args += ["--model-in", str(teacher)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "n_per_class must be >= 1" in err
+    assert out == "" and not (tmp_path / "out.bin").exists()
+
+
+def test_unreadable_dataset_exits_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes(b'{"text":"caf\xe9","label":"x"}\n')
+    for dataset in (tmp_path, latin1):
+        rc = main(["train", "--dataset", str(dataset), "--model-out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dataset}") and "Traceback" not in err
+
+
 def test_non_integer_list_flag_is_a_usage_error(corpus_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--dataset", str(corpus_dir / "train.jsonl"),

@@ -80,6 +80,16 @@ class TestLoadJsonl:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.jsonl")
 
+    def test_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"text":"a","label":"x"}\n{"text":"caf\xe9","label":"y"}\n')
+        with pytest.raises(MalformedRecord, match=r"d\.jsonl:2: not UTF-8"):
+            load_dataset(path)
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(MalformedRecord, match="is a directory"):
+            load_dataset(tmp_path)
+
 
 class TestLoadCsv:
     def test_basic(self, tmp_path):
@@ -91,6 +101,12 @@ class TestLoadCsv:
     def test_header_required(self, tmp_path):
         path = write(tmp_path, "d.csv", "txt,lbl\na,b\n")
         with pytest.raises(MalformedRecord, match=":1"):
+            load_dataset(path)
+
+    def test_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"text,label\r\na,x\r\nb,y\r\n\xff,z\r\n")
+        with pytest.raises(MalformedRecord, match=r"d\.csv:4: not UTF-8"):
             load_dataset(path)
 
     def test_all_integer_cells_become_indices(self, tmp_path):

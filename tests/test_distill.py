@@ -10,7 +10,7 @@ from deskfit.distill import (
     teacher_similarities,
 )
 from deskfit.encoder import cosine, encode
-from deskfit.errors import EmptyInput, TooFewTexts
+from deskfit.errors import EmptyInput, LabelOutOfRange, TooFewTexts
 from deskfit.head import HeadTrainConfig
 from deskfit.pipeline import EncoderConfig, FitConfig, fit, save_model
 
@@ -149,7 +149,7 @@ class TestDistill:
         labeled = vocab_dataset()
         teacher = fit(labeled, small_config(seed=2))
         renamed = Dataset(labeled.examples, ("x", "y"))
-        with pytest.raises(ValueError, match="labels"):
+        with pytest.raises(LabelOutOfRange, match="labels"):
             distill(teacher, renamed, [], DistillConfig(student=small_config()))
 
     def test_continuous_targets_stay_in_range(self):

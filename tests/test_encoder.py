@@ -1,10 +1,11 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import dense_finetune, fresh_tokenize
+from oracles import dense_finetune, fresh_tokenize, naive_init
 
 from deskfit import encoder
 from deskfit.corpus import rng_from_seed
@@ -19,7 +20,7 @@ from deskfit.encoder import (
     pair_loss_grad,
     tokenize,
 )
-from deskfit.errors import EmptyInput, ZeroNorm
+from deskfit.errors import EmptyInput, InvalidConfig, ZeroNorm
 from deskfit.pairs import PairSet, TrainPair
 
 
@@ -249,6 +250,36 @@ class TestInitParams:
 
     def test_shape(self):
         assert init_params(65536, 64).table.size == 4_194_304
+
+    def test_default_size_holds_one_table_of_memory(self):
+        tracemalloc.start()
+        try:
+            params = init_params(init_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= params.table.nbytes + 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vocab=st.integers(1, 3000),
+    dim=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([61, 300, encoder.INIT_BLOCK]),
+)
+@example(vocab=8192, dim=32, seed=2**63 + 5, block=encoder.INIT_BLOCK)
+def test_init_params_matches_one_uniform_draw(vocab, dim, seed, block):
+    # small blocks split rows, and one block may hold a few whole rows
+    with mock.patch.object(encoder, "INIT_BLOCK", block):
+        table = init_params(vocab, dim, init_seed=seed).table
+    assert table.tobytes() == naive_init(vocab, dim, seed).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_hash_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(InvalidConfig, match="hash_seed"):
+        EncoderParams(np.zeros((4, 2), np.float32), seed)
 
 
 class TestFinetune:

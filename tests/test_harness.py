@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from deskfit.corpus import Dataset, LabeledExample, load_dataset, save_dataset_jsonl
-from deskfit.errors import InvalidSpec, LabelOutOfRange
+from deskfit.errors import InvalidSpec, LabelOutOfRange, MalformedRecord
 from deskfit.harness import (
     METRIC_NAMES,
     DistillCurveConfig,
     ExperimentConfig,
     evaluate_model,
     load_cost_specs,
+    load_unlabeled,
     run_cost_report,
     run_distill_curve,
     run_experiment,
@@ -243,3 +244,12 @@ class TestCostReport:
         path.write_text('[{"name": "x", "seq_len": 10}]')
         with pytest.raises(InvalidSpec):
             load_cost_specs(path)
+
+
+def test_unlabeled_pool_that_is_not_utf8_or_a_directory(tmp_path):
+    pool = tmp_path / "pool.txt"
+    pool.write_bytes(b"one text\n\ntwo \xc3 text\n")
+    with pytest.raises(MalformedRecord, match=r"pool\.txt:3: not UTF-8"):
+        load_unlabeled(pool)
+    with pytest.raises(MalformedRecord, match="is a directory"):
+        load_unlabeled(tmp_path)

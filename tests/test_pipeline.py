@@ -279,12 +279,29 @@ class TestPersistence:
         assert not writer.is_alive()
         assert loaded.encoder.table.tobytes() == model.encoder.table.tobytes()
 
-    def test_default_size_load_holds_one_file_of_memory(self, tmp_path):
+    @staticmethod
+    def default_size_model():
         encoder = init_params(init_seed=3)
         names = ("a", "b")
         weights = np.arange(2 * encoder.dim, dtype=np.float32).reshape(2, -1)
         head = HeadParams(weights, np.ones(2, np.float32), names)
-        model = Model(encoder, head, names, FitConfig())
+        return Model(encoder, head, names, FitConfig())
+
+    def test_default_size_save_copies_nothing(self, tmp_path):
+        model = self.default_size_model()
+        path = tmp_path / "m.bin"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        assert load_model(path).encoder.table.tobytes() == model.encoder.table.tobytes()
+
+    def test_default_size_load_holds_one_file_of_memory(self, tmp_path):
+        model = self.default_size_model()
+        encoder, weights = model.encoder, model.head.weights
         path = tmp_path / "m.bin"
         save_model(model, path)
         tracemalloc.start()
